@@ -58,7 +58,8 @@ def test_multidevice_enum_throughput(benchmark):
             sub, PlatformSimulator("dualphi", seed=0), SIZE_MB
         )
         t_separable = time.perf_counter() - t0
-        assert separable.best_energy.value == faithful.best_energy.value
+        assert separable.best_config == faithful.best_config
+        assert separable.best_energy == faithful.best_energy
         t0 = time.perf_counter()
         em = enumerate_best_separable(full, PlatformSimulator("dualphi", seed=0), SIZE_MB)
         t_full = time.perf_counter() - t0

@@ -11,8 +11,8 @@ tables mirroring the paper's figures and tables.
 suggested system configuration; ``--engine``/``--batch-size`` select
 the evaluation backend (serial / cached / batched — see
 :mod:`repro.core.engine`) for it and for the fig9/table studies.
-``--shards``/``--refine`` control multi-device enumeration: sharded
-share-simplex walks (optionally pooled via ``--processes``) and
+``--shards``/``--refine`` control EM/EML enumeration: sharded
+share-grid walks (optionally pooled via ``--processes``) and
 coarse-to-fine share-step refinement (see
 :mod:`repro.core.enumeration`).
 
@@ -839,13 +839,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shards", type=int, default=1,
-        help="split multi-device enumeration (EM/EML) into this many "
-        "share-simplex shards (bit-identical results for any count)",
+        help="split EM/EML enumeration into this many "
+        "share-grid shards (bit-identical results for any count)",
     )
     parser.add_argument(
         "--refine", type=float, default=None,
-        help="coarse-to-fine target share step [%%] for multi-device "
-        "enumeration, e.g. 2.5: enumerate at the coarse grid, then "
+        help="coarse-to-fine target share step [%%] for EM/EML "
+        "enumeration, e.g. 2.5: enumerate the space's grid, then "
         "refine around the incumbent down to this step",
     )
     parser.add_argument(

@@ -55,7 +55,7 @@ from ..machines.simulator import PlatformSimulator
 from ..machines.spec import PlatformSpec
 from .engine import EvaluationEngine
 from .methods import run_em, run_method
-from .options import UNSET, TuningOptions, resolve_options
+from .options import TuningOptions
 from .portfolio import ML_ENTRANTS, PortfolioResult
 from .params import (
     SystemConfiguration,
@@ -135,29 +135,17 @@ def _em_reference(
 
     Misses fall through to the bound durable store (see
     :func:`set_result_store`) before computing, and fresh references
-    are persisted to it.  A refined miss whose *coarse* twin (same key,
-    ``refine=None``) is cached warm-starts the coarse-to-fine schedule
-    from that incumbent instead of re-walking the full simplex — the
-    enumeration-layer read-through of
-    :func:`~repro.core.enumeration.enumerate_best_separable`.
+    are persisted to it.
     """
     key = _em_cache_key(spec, workload, space, size_mb, seed, refine)
     hit = _cache_lookup(key)
     if hit is None:
-        coarse = None
-        if refine is not None:
-            warm = _cache_lookup(_em_cache_key(spec, workload, space, size_mb, seed, None))
-            if warm is not None:
-                from .enumeration import EnumerationResult
-
-                coarse = EnumerationResult(warm.config, warm.measured, warm.experiments)
         hit = run_em(
             space,
             PlatformSimulator(spec, workload, seed=seed),
             size_mb,
             shards=shards,
             refine=refine,
-            coarse=coarse,
         )
         _EM_CACHE[key] = hit
         if _RESULT_STORE is not None:
@@ -344,10 +332,6 @@ def tune_platform(
     seed: int = 0,
     workload: WorkloadProfile | WorkloadSpec | str = DNA_SCAN,
     options: TuningOptions | None = None,
-    engine=UNSET,
-    batch_size=UNSET,
-    shards=UNSET,
-    refine=UNSET,
 ) -> PlatformTuneReport:
     """Tune one platform and compare against its enumeration optimum.
 
@@ -363,20 +347,15 @@ def tune_platform(
     method itself consumed.
 
     Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`
-    (``options=``); the ``engine`` / ``batch_size`` / ``shards`` /
-    ``refine`` keywords remain as a compatibility layer — passing one
-    explicitly overrides the corresponding ``options`` field (see
-    :func:`~repro.core.options.resolve_options`).  ``shards`` /
-    ``refine`` are the multi-device enumeration knobs (see
+    (``options=``; ``None`` means the defaults).  ``shards`` /
+    ``refine`` are the enumeration knobs (see
     :func:`~repro.core.enumeration.enumerate_best_separable`); a
     direct call with ``options.processes`` set fans the enumeration
     *shards* out (campaigns strip it via
     :meth:`~repro.core.options.TuningOptions.for_cell` so cell fan-out
     never nests pools).
     """
-    opts = resolve_options(
-        options, engine=engine, batch_size=batch_size, shards=shards, refine=refine
-    )
+    opts = options if options is not None else TuningOptions()
     spec = resolve_platform(platform)
     method = method.upper()
     if method in ML_METHODS:
@@ -524,12 +503,6 @@ def tune_campaign(
     seed: int = 0,
     workload: WorkloadProfile | WorkloadSpec | str = DNA_SCAN,
     options: TuningOptions | None = None,
-    engine=UNSET,
-    batch_size=UNSET,
-    shards=UNSET,
-    refine=UNSET,
-    processes=UNSET,
-    start_method=UNSET,
 ) -> CampaignResult:
     """Run one tuning method across a fleet of registered platforms.
 
@@ -540,12 +513,11 @@ def tune_campaign(
     (see :func:`tune_platform`); use :func:`tune_matrix` to cross the
     whole workload registry with the fleet.
 
-    Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`;
-    the individual keywords remain as a compatibility layer (explicitly
-    passed keywords override ``options`` fields).  An ``engine`` *name*
-    gives each platform a fresh instance so batch/cache statistics stay
-    per-platform; an :class:`~repro.core.engine.EvaluationEngine`
-    instance is shared across serial cells (with process fan-out each
+    Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`.
+    An ``engine`` *name* gives each platform a fresh instance so
+    batch/cache statistics stay per-platform; an
+    :class:`~repro.core.engine.EvaluationEngine` instance is shared
+    across serial cells (with process fan-out each
     worker gets a pickled copy, so its statistics stay in the worker).
     ``options.processes > 1`` scores platforms concurrently over a
     process pool with identical results; ``options.start_method`` pins
@@ -558,15 +530,7 @@ def tune_campaign(
     re-dispatched and the run degrades to serial rather than aborting,
     with the ledger on the result's ``reliability`` field.
     """
-    opts = resolve_options(
-        options,
-        engine=engine,
-        batch_size=batch_size,
-        shards=shards,
-        refine=refine,
-        processes=processes,
-        start_method=start_method,
-    )
+    opts = options if options is not None else TuningOptions()
     method = method.upper()
     if isinstance(workload, str):
         # Resolve once in the parent: worker processes start from a
@@ -748,10 +712,6 @@ def tune_scenario(
     iterations: int = 1000,
     seed: int = 0,
     options: TuningOptions | None = None,
-    engine=UNSET,
-    batch_size=UNSET,
-    shards=UNSET,
-    refine=UNSET,
 ) -> ScenarioReport:
     """Tune one (workload, platform) cell.
 
@@ -759,12 +719,8 @@ def tune_scenario(
     (``WorkloadSpec.sequence_mb``) — a short-read archive is tuned at
     300 MB, a wheat genome at 24 GB — so the matrix compares scenarios,
     not one arbitrary size.  Execution knobs arrive as one
-    :class:`~repro.core.options.TuningOptions`; the individual keywords
-    remain as a compatibility layer (see :func:`tune_platform`).
+    :class:`~repro.core.options.TuningOptions` (see :func:`tune_platform`).
     """
-    opts = resolve_options(
-        options, engine=engine, batch_size=batch_size, shards=shards, refine=refine
-    )
     spec = get_workload(workload)
     size = float(size_mb) if size_mb is not None else spec.sequence_mb
     report = tune_platform(
@@ -774,7 +730,7 @@ def tune_scenario(
         iterations=iterations,
         seed=seed,
         workload=spec,
-        options=opts,
+        options=options,
     )
     return ScenarioReport(workload=spec.name, size_mb=size, report=report)
 
@@ -805,12 +761,6 @@ def tune_matrix(
     iterations: int = 1000,
     seed: int = 0,
     options: TuningOptions | None = None,
-    engine=UNSET,
-    batch_size=UNSET,
-    shards=UNSET,
-    refine=UNSET,
-    processes=UNSET,
-    start_method=UNSET,
 ) -> MatrixResult:
     """Run one tuning method over a workload x platform scenario matrix.
 
@@ -825,24 +775,15 @@ def tune_matrix(
     shared across serial cells, aggregating its statistics (with
     process fan-out each worker gets a pickled copy).
 
-    Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`;
-    the individual keywords remain as a compatibility layer.
+    Execution knobs arrive as one :class:`~repro.core.options.TuningOptions`.
     ``options.processes > 1`` fans whole cells out over a process pool
     with identical results, with the same start-method selection and
     EM-cache merge-back protocol as :func:`tune_campaign`.  ``shards``
-    / ``refine`` are the multi-device enumeration knobs (see
+    / ``refine`` are the enumeration knobs (see
     :func:`tune_platform`).  ``size_mb`` overrides the per-workload
     input scale for every cell (mostly useful in tests).
     """
-    opts = resolve_options(
-        options,
-        engine=engine,
-        batch_size=batch_size,
-        shards=shards,
-        refine=refine,
-        processes=processes,
-        start_method=start_method,
-    )
+    opts = options if options is not None else TuningOptions()
     method = method.upper()
     wnames = list(workloads) if workloads is not None else list(workload_names())
     if platforms is None:

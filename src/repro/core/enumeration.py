@@ -5,15 +5,21 @@ space one could try to naively enumerate over all possible parameter
 values" (section III).  For the paper's space that is 19 926 timed
 experiments — the EM column of Table II: optimal but high effort.
 
-Because ``E = max(T_host, T_device)`` is separable, the full product
-space never needs one measurement per configuration: each side's time
-depends only on its own (threads, affinity, megabytes), so measuring
-the ``host combos x fractions`` and ``device combos x fractions`` grids
-(738 + 1107 runs for the default space) determines every configuration's
-energy.  :func:`enumerate_best` exposes both protocols: the faithful
-per-configuration walk and the separable fast path (identical results —
-the simulator's noise is per-(side, threads, affinity, mb), which is
-exactly what a real re-run-free measurement campaign would produce).
+Because ``E = max(T_host, T_dev_1, ..., T_dev_N)`` is separable, the
+full product space never needs one measurement per configuration: each
+part's time depends only on its own (threads, affinity, megabytes), so
+measuring one ``combos x unique-mb`` grid per part (738 + 1107 runs for
+the default space) determines every configuration's energy.
+:func:`enumerate_best` is the faithful per-configuration walk (the
+reference); :func:`enumerate_best_separable` (measurements, EM) and
+:func:`enumerate_best_separable_ml` (predictions, EML) are the one
+separable walk, for every device count — a single-device space enters
+as the two-part share vectors ``(f, 100 - f)`` of its fraction grid.
+
+One tie rule, Table I order: among all configurations at the minimum
+energy, the walk picks the earliest in ``(host combo, device-0 combo,
+..., share vector)`` order — the configuration the faithful walk
+picks, so both agree in configuration, :class:`Energy`, and count.
 
 Sharding and coarse-to-fine refinement
 --------------------------------------
@@ -22,22 +28,22 @@ Multi-device share simplexes explode combinatorially (stars and bars:
 ``C(100/step + parts - 1, parts - 1)`` vectors), which historically
 forced :func:`~repro.core.params.share_step_for` to coarsen the grid as
 the device count grows.  Two mechanisms make fine grids tractable
-again:
+again; both apply to every device count:
 
 * **Sharding** (``shards=``): :func:`plan_share_shards` splits the
-  share simplex into contiguous lexicographic ranges; each shard runs
-  the same columnar per-part walk over its slice and the per-shard
-  argmins reduce with the deterministic tie-break rule (earlier shard
-  wins ties, i.e. the lexicographically earliest share vector — exactly
-  what the unsharded walk picks).  Because the simulator's noise is a
-  pure function of the measurement key, shard composition can never
-  change a measured value: results are bit-identical for every shard
-  count, whether shards run serially or over a process pool
+  share grid into contiguous lexicographic ranges; each shard runs the
+  same columnar per-part walk over its slice and the per-shard argmins
+  reduce in Table I order (energy, then per-part combo indices; on a
+  full tie the earlier shard holds the earlier share vector and wins —
+  exactly what the unsharded walk picks).  Because the simulator's
+  noise is a pure function of the measurement key, shard composition
+  can never change a measured value: results are bit-identical for
+  every shard count, whether shards run serially or over a process pool
   (``processes=``, start method via
   :func:`~repro.core.pool.pool_context`).
 
-* **Refinement** (``refine=``): enumerate the full simplex at the
-  space's coarse step, then re-enumerate a ±2-step neighborhood of the
+* **Refinement** (``refine=``): enumerate the full share grid at the
+  space's step, then re-enumerate a ±2-step neighborhood of the
   incumbent share vector at half the step, recursively down to the
   requested target step (the paper-grid 2.5 %, or 1.25 % for huge
   inputs).  The incumbent is only replaced by a *strictly* better
@@ -140,30 +146,6 @@ def _scored_configs(
         yield from zip(chunk, engine.evaluate_batch(objective, chunk))
 
 
-def _side_grid_times(
-    sim, side: str, threads: tuple, affinities: tuple, mb_per_fraction: np.ndarray
-) -> np.ndarray:
-    """Measure one side's ``(combo, fraction)`` grid as arrays.
-
-    Combos are ordered threads-major / affinity-minor (Table I order);
-    zero-MB fractions cost 0 s without consuming an experiment, exactly
-    like the historical per-call loop.
-    """
-    codes = np.asarray(
-        [affinity_domain(side).index(a) for a in affinities], dtype=np.int64
-    )
-    n_combo, n_f = len(threads) * len(affinities), len(mb_per_fraction)
-    threads_col = np.repeat(np.asarray(threads, dtype=np.int64), len(affinities) * n_f)
-    codes_col = np.tile(np.repeat(codes, n_f), len(threads))
-    mb_col = np.tile(mb_per_fraction, n_combo)
-    times = np.zeros(n_combo * n_f)
-    sel = mb_col > 0
-    measure = sim.measure_host_columns if side == "host" else sim.measure_device_columns
-    if sel.any():
-        times[sel] = measure(threads_col[sel], codes_col[sel], mb_col[sel])
-    return times.reshape(n_combo, n_f)
-
-
 def _part_mb_per_share(
     share_vectors: Sequence[Sequence[float]], size_mb: float
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -195,8 +177,7 @@ def _part_grid_times(
     """One part's ``(combo, mb)`` time grid; zero-MB entries cost 0 s.
 
     ``time_grid(part, threads_col, codes_col, mb_col)`` times positive-MB
-    entries only (``part`` is -1 for the host, else the device index),
-    exactly like the single-device fast path.
+    entries only (``part`` is -1 for the host, else the device index).
     """
     side = "host" if part < 0 else "device"
     n_combo, n_mb = len(threads) * len(affinities), len(mbs)
@@ -237,72 +218,54 @@ def _separable_walk(
     For a fixed share vector the parts are independent, so the slice
     optimum is ``min over shares of (max over parts of the part's best
     combo time)`` — each part's ``combos x unique-mb`` grid is timed
-    once as columns and the cross product never materializes.  Ties
-    break deterministically: per part, the earliest combo in Table I
-    order; across share vectors, the earliest vector in simplex
-    (lexicographic) order.  Because times are a pure function of
-    ``(part, threads, affinity, mb)``, the result over a slice is
-    independent of which other slices exist — the invariant sharding
-    relies on.
+    once as columns and the cross product never materializes.
+
+    Ties follow Table I order: among every configuration at the
+    minimum energy, the walk returns the earliest in ``(host combo,
+    device-0 combo, ..., share vector)`` order — exactly what the
+    faithful per-configuration walk of :func:`enumerate_best` picks.  A
+    configuration is at the minimum iff every part's time is ``<=`` it,
+    so the rule fixes the parts in order, each to its first combo that
+    still fits some surviving share vector, then takes the first share
+    vector left.  Because times are a pure function of ``(part,
+    threads, affinity, mb)``, the result over a slice is independent of
+    which other slices exist — the invariant sharding relies on.
     """
     host_mb, dev_mbs = _part_mb_per_share(share_vectors, size_mb)
-    n_shares = len(share_vectors)
-    num_parts = len(part_grids)
-    # Per part: unique mb values, each combo timed once per unique mb.
-    best_time = np.empty((num_parts, n_shares))
-    best_combo: list[np.ndarray] = []
-    part_mbs = [host_mb, *dev_mbs]
-    for p, (mbs, (threads, affinities)) in enumerate(zip(part_mbs, part_grids)):
+    # Per part: a (combo, share) time matrix, each combo timed once per
+    # unique mb value.
+    times = []
+    for p, (mbs, (threads, affinities)) in enumerate(zip([host_mb, *dev_mbs], part_grids)):
         uniq, inverse = np.unique(mbs, return_inverse=True)
-        grid = _part_grid_times(time_grid, p - 1, threads, affinities, uniq)
-        combo_at = np.argmin(grid, axis=0)  # first minimum per unique mb
-        best_time[p] = grid[combo_at, np.arange(len(uniq))][inverse]
-        best_combo.append(combo_at[inverse])
-    energy = best_time.max(axis=0)
-    j = int(np.argmin(energy))
+        times.append(_part_grid_times(time_grid, p - 1, threads, affinities, uniq)[:, inverse])
+    e_min = np.max([t.min(axis=0) for t in times], axis=0).min()
+    fits = [t <= e_min for t in times]
+    alive = np.logical_and.reduce([f.any(axis=0) for f in fits])
+    combos = []
+    for f in fits:
+        c = int(np.argmax((f & alive).any(axis=1)))
+        combos.append(c)
+        alive &= f[c]
+    j = int(np.argmax(alive))
     shares = share_vectors[j]
-
-    def combo(part: int) -> tuple[int, str]:
-        threads, affinities = part_grids[part]
-        c = int(best_combo[part][j])
-        return threads[c // len(affinities)], affinities[c % len(affinities)]
-
-    host_threads, host_affinity = combo(0)
-    slots = [combo(1 + k) for k in range(num_parts - 1)]
+    slots = []
+    for c, (threads, affinities) in zip(combos, part_grids):
+        slots.append((threads[c // len(affinities)], affinities[c % len(affinities)]))
     best_config = SystemConfiguration(
-        host_threads=host_threads,
-        host_affinity=host_affinity,
-        device_threads=slots[0][0],
-        device_affinity=slots[0][1],
+        host_threads=slots[0][0],
+        host_affinity=slots[0][1],
+        device_threads=slots[1][0],
+        device_affinity=slots[1][1],
         host_fraction=shares[0],
         extra_devices=tuple(
-            DeviceSlot(t, a, s) for (t, a), s in zip(slots[1:], shares[2:])
+            DeviceSlot(t, a, s) for (t, a), s in zip(slots[2:], shares[2:])
         ),
     )
-    best_energy = Energy(
-        float(best_time[0, j]),
-        float(best_time[1, j]),
-        tuple(float(best_time[2 + k, j]) for k in range(num_parts - 2)),
-    )
+    part_times = [float(t[c, j]) for t, c in zip(times, combos)]
+    best_energy = Energy(part_times[0], part_times[1], tuple(part_times[2:]))
     return EnumerationResult(
-        best_config, best_energy, _combo_count(part_grids) * n_shares
+        best_config, best_energy, _combo_count(part_grids) * len(share_vectors)
     )
-
-
-def _enumerate_best_separable_multi(
-    space: ParameterSpace,
-    time_grid,
-    size_mb: float,
-    share_vectors: tuple[tuple[float, ...], ...] | None = None,
-) -> EnumerationResult:
-    """Separable enumeration over a multi-device space (one shard).
-
-    ``share_vectors`` restricts the walk to a slice of the simplex
-    (defaults to the whole grid); see :func:`_separable_walk` for the
-    walk itself and its tie-break rules.
-    """
-    vectors = space.share_vectors if share_vectors is None else share_vectors
-    return _separable_walk(_part_grids(space), vectors, time_grid, size_mb)
 
 
 # --- shard planning and reduction -------------------------------------------
@@ -333,19 +296,31 @@ def plan_share_shards(n_vectors: int, shards: int) -> tuple[tuple[int, int], ...
     return tuple(ranges)
 
 
-def _reduce_shards(results: Sequence[EnumerationResult]) -> EnumerationResult:
-    """Global argmin over per-shard argmins (deterministic tie-break).
+def _combo_key(config: SystemConfiguration, part_grids: PartGrids) -> tuple[int, ...]:
+    """A configuration's per-part combo indices: its Table I position, shares aside."""
+    slots = [(config.host_threads, config.host_affinity)]
+    slots += [(slot.threads, slot.affinity) for slot in config.device_slots]
+    return tuple(
+        threads.index(t) * len(affinities) + affinities.index(a)
+        for (t, a), (threads, affinities) in zip(slots, part_grids)
+    )
 
-    Shards cover contiguous lexicographic ranges in order, so keeping
-    the *earliest* shard on energy ties reproduces the unsharded rule
-    (lexicographically earliest share vector) exactly.
+
+def _reduce_shards(
+    results: Sequence[EnumerationResult], part_grids: PartGrids
+) -> EnumerationResult:
+    """Global argmin over per-shard argmins, keeping Table I order on ties.
+
+    Ties compare the per-part combo indices first; shards cover
+    contiguous lexicographic share ranges in order, so on a full tie
+    the *earliest* shard holds the earlier share vector and wins — the
+    unsharded walk's choice exactly.
     """
-    best = results[0]
-    total = results[0].configurations
-    for r in results[1:]:
-        total += r.configurations
-        if r.best_energy.value < best.best_energy.value:
-            best = r
+    best = min(
+        results,
+        key=lambda r: (r.best_energy.value, _combo_key(r.best_config, part_grids)),
+    )
+    total = sum(r.configurations for r in results)
     return EnumerationResult(best.best_config, best.best_energy, total)
 
 
@@ -423,8 +398,11 @@ def _share_grid_step(share_vectors: Sequence[Sequence[float]]) -> float | None:
     exactly the construction step; for hand-written vector sets it is
     the finest resolvable gap, which is what refinement should start
     halving from.  ``None`` when every component is identical (nothing
-    to refine).
+    to refine), and for a one-vector grid (a deviceless space's pinned
+    100 % host split has no step to halve).
     """
+    if len(share_vectors) < 2:
+        return None
     values = sorted({float(s) for vec in share_vectors for s in vec})
     gaps = [b - a for a, b in zip(values, values[1:]) if b - a > SHARE_SUM_TOL]
     return min(gaps) if gaps else None
@@ -486,9 +464,8 @@ def _sharded_refined_walk(
     start_method: str | None,
     worker,
     job_payload,
-    coarse: EnumerationResult | None = None,
 ) -> EnumerationResult:
-    """Sharded coarse walk plus the optional coarse-to-fine schedule.
+    """Sharded full-grid walk plus the optional coarse-to-fine schedule.
 
     ``worker`` / ``job_payload`` describe the picklable per-shard job
     for the pooled path; the serial path reuses ``time_grid`` directly.
@@ -497,14 +474,6 @@ def _sharded_refined_walk(
     replacing the incumbent only when strictly better — so the final
     optimum is monotonically non-increasing in the number of levels and
     bit-identical across shard counts and start methods.
-
-    ``coarse`` warm-starts the schedule: a caller that already holds
-    the *coarse-level* result for this exact (space, substrate, size) —
-    e.g. the campaign cache read-through serving a refined request on a
-    cell whose unrefined walk is stored — passes it here and the full
-    simplex walk is skipped.  The warm result carries the coarse
-    level's configuration count, so totals (and therefore the returned
-    result) are bit-identical to a cold refined walk.
     """
     part_grids = _part_grids(space)
     pooled = processes is not None and processes > 1 and shards > 1
@@ -535,9 +504,9 @@ def _sharded_refined_walk(
                 _separable_walk(part_grids, vectors[a:b], time_grid, size_mb)
                 for a, b in ranges
             ]
-        return _reduce_shards(results)
+        return _reduce_shards(results, part_grids)
 
-    best = run_level(space.share_vectors) if coarse is None else coarse
+    best = run_level(space.share_vectors)
     total = best.configurations
     if refine is not None:
         coarse_step = _share_grid_step(space.share_vectors)
@@ -562,82 +531,47 @@ def enumerate_best_separable(
     refine: float | None = None,
     processes: int | None = None,
     start_method: str | None = None,
-    coarse: EnumerationResult | None = None,
 ) -> EnumerationResult:
     """Fast exact enumeration exploiting objective separability.
 
-    Produces the same optimum as :func:`enumerate_best` over a
+    Produces exactly what :func:`enumerate_best` over a
     :class:`~repro.core.evaluators.MeasurementEvaluator` on the same
-    simulator (asserted by the integration tests), in
-    ``O(host_grid + device_grid + |space|)`` time.  Both per-side
-    measurement grids go through the simulator's columnar fast path and
-    the ``|space|``-sized cross product is a single broadcast
-    ``max``/``argmin`` — no per-configuration Python at all.  Ties break
-    toward the earlier configuration in Table I order (C-order argmin),
-    matching the historical comparison loop exactly.
-
-    Multi-device spaces route through the per-part separable walk: one
-    columnar measurement grid per part (every device keeps its own
-    model and noise stream) composed as ``E = max`` over parts, with
-    the deterministic tie-breaks documented on :func:`_separable_walk`.
-    They also honor the scale-out knobs (see the module docstring):
+    simulator produces — same configuration, same :class:`Energy`, same
+    configuration count (asserted by the tests) — for every device
+    count.  Each part's measurement grid goes through the simulator's
+    columnar fast path (every device keeps its own model and noise
+    stream), composed as ``E = max`` over parts with the Table I tie
+    rule documented on :func:`_separable_walk`; a single-device space
+    walks its fraction grid as the two-part share vectors
+    ``(f, 100 - f)``.  The scale-out knobs apply to every space (see
+    the module docstring):
 
     ``shards``
-        Split the share simplex into that many contiguous lexicographic
+        Split the share grid into that many contiguous lexicographic
         slices and reduce per-slice argmins — bounding each slice's
         working set and enabling process fan-out, with bit-identical
         results for every shard count.
     ``refine``
-        Target share step in percent: after the coarse walk, refine the
-        incumbent's neighborhood level by level down to this step
-        (e.g. ``2.5`` for paper-grid fidelity).
+        Target share step in percent: after the full-grid walk, refine
+        the incumbent's neighborhood level by level down to this step
+        (e.g. ``2.5`` for paper-grid fidelity; a no-op on a grid that
+        is already that fine).
     ``processes`` / ``start_method``
         Fan shards out over a process pool (workers rebuild the
         deterministic substrate from the simulator's identity); the
         start method follows :func:`~repro.core.pool.pool_context`.
-    ``coarse``
-        Warm-start for the refinement schedule: the coarse-level
-        result for this exact walk, if the caller already holds it
-        (see :func:`_sharded_refined_walk`) — the full simplex walk is
-        skipped and results stay bit-identical to a cold walk.
-
-    Single-device spaces already enumerate their full 2.5 %-step
-    fraction grid directly, so the knobs are no-ops there.
     """
-    if space.num_devices > 1:
-        return _sharded_refined_walk(
-            space,
-            _measured_time_grid(sim),
-            size_mb,
-            shards=shards,
-            refine=refine,
-            processes=processes,
-            start_method=start_method,
-            worker=_measured_shard_worker,
-            job_payload=(sim.platform, sim.workload, sim.seed, sim.noise),
-            coarse=coarse,
-        )
-    fractions = np.asarray(space.fractions, dtype=np.float64)
-    host_mb = size_mb * fractions / 100.0
-    device_mb = size_mb - host_mb
-    th = _side_grid_times(sim, "host", space.host_threads, space.host_affinities, host_mb)
-    td = _side_grid_times(
-        sim, "device", space.device_threads, space.device_affinities, device_mb
+    return _sharded_refined_walk(
+        space,
+        _measured_time_grid(sim),
+        size_mb,
+        shards=shards,
+        refine=refine,
+        processes=processes,
+        start_method=start_method,
+        worker=_measured_shard_worker,
+        job_payload=(sim.platform, sim.workload, sim.seed, sim.noise),
     )
-    energy = np.maximum(th[:, None, :], td[None, :, :])  # (host, device, fraction)
-    flat_best = int(np.argmin(energy.reshape(-1)))
-    h, d, f = np.unravel_index(flat_best, energy.shape)
-    n_ha = len(space.host_affinities)
-    n_da = len(space.device_affinities)
-    best_config = SystemConfiguration(
-        space.host_threads[h // n_ha],
-        space.host_affinities[h % n_ha],
-        space.device_threads[d // n_da],
-        space.device_affinities[d % n_da],
-        float(fractions[f]),
-    )
-    best_energy = Energy(float(th[h, f]), float(td[d, f]))
-    return EnumerationResult(best_config, best_energy, space.size())
 
 
 def enumerate_best_separable_ml(
@@ -649,23 +583,21 @@ def enumerate_best_separable_ml(
     refine: float | None = None,
     processes: int | None = None,
     start_method: str | None = None,
-    coarse: EnumerationResult | None = None,
 ) -> EnumerationResult:
-    """Separable EML walk for multi-device spaces (predictions, no cost).
+    """Separable EML walk (predictions, no cost) for every device count.
 
     The ML objective is separable exactly like the measured one (each
-    part's predicted time depends only on its own columns), so the full
-    multi-device product space never needs one prediction per
-    configuration: each part's ``combos x unique-mb`` grid goes through
-    the vectorized ensemble predictor once.  Tie-breaks follow
-    :func:`_separable_walk`; ``shards`` / ``refine`` / ``processes`` /
-    ``start_method`` behave exactly as on
+    part's predicted time depends only on its own columns), so the
+    product space never needs one prediction per configuration: each
+    part's ``combos x unique-mb`` grid goes through the vectorized
+    ensemble predictor once.  The result equals :func:`enumerate_best`
+    on the same :class:`~repro.core.evaluators.MLEvaluator` (Table I
+    tie rule, see :func:`_separable_walk`); ``shards`` / ``refine`` /
+    ``processes`` / ``start_method`` behave exactly as on
     :func:`enumerate_best_separable` (pooled shards pickle the trained
     predictors to the workers — predictions are deterministic, so
     results stay bit-identical).
     """
-    if space.num_devices == 1:
-        raise ValueError("single-device spaces use enumerate_best on the ML evaluator")
     return _sharded_refined_walk(
         space,
         _ml_time_grid(ml),
@@ -676,5 +608,4 @@ def enumerate_best_separable_ml(
         start_method=start_method,
         worker=_ml_shard_worker,
         job_payload=(ml,),
-        coarse=coarse,
     )

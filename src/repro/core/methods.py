@@ -100,18 +100,18 @@ def run_em(
     refine: float | None = None,
     processes: int | None = None,
     start_method: str | None = None,
-    coarse=None,
 ) -> MethodResult:
     """Enumeration + Measurements: certain optimum, maximal effort.
 
-    The default separable fast path computes the per-side measurement
+    The default separable fast path computes the per-part measurement
     grids directly and never consults ``engine`` (its stats stay at
     zero for EM); the engine only backs the faithful per-configuration
-    walk (``separable_fast_path=False``).  ``shards`` / ``refine`` /
-    ``processes`` / ``start_method`` / ``coarse`` are the multi-device
-    scale-out knobs of
-    :func:`~repro.core.enumeration.enumerate_best_separable`
-    (no-ops on single-device spaces and on the faithful walk).
+    walk (``separable_fast_path=False``).  Both walks pick the same
+    configuration: the earliest in Table I order among those at the
+    minimum energy.  ``shards`` / ``refine`` / ``processes`` /
+    ``start_method`` are the scale-out knobs of
+    :func:`~repro.core.enumeration.enumerate_best_separable` and apply
+    to every device count (the faithful walk ignores them).
     """
     if separable_fast_path:
         res = enumerate_best_separable(
@@ -122,7 +122,6 @@ def run_em(
             refine=refine,
             processes=processes,
             start_method=start_method,
-            coarse=coarse,
         )
     else:
         evaluator = MeasurementEvaluator(sim)
@@ -143,7 +142,6 @@ def run_eml(
     sim: PlatformSimulator,
     size_mb: float,
     *,
-    engine: EvaluationEngine | None = None,
     shards: int = 1,
     refine: float | None = None,
     processes: int | None = None,
@@ -152,25 +150,23 @@ def run_eml(
     """Enumeration + Machine Learning: full space walk on predictions.
 
     Consumes zero search-time experiments (plus one final measurement of
-    the suggested configuration for reporting).  A batched ``engine``
-    vectorizes the 19 926-prediction walk.  Multi-device spaces route
-    through the separable ML walk (their product spaces are far too
-    large for a per-configuration walk; the engine is not consulted)
-    and honor the ``shards`` / ``refine`` / ``processes`` /
-    ``start_method`` scale-out knobs.
+    the suggested configuration for reporting).  The walk is the
+    separable ML walk of
+    :func:`~repro.core.enumeration.enumerate_best_separable_ml` for
+    every device count — one vectorized prediction grid per part, the
+    same configuration :func:`~repro.core.enumeration.enumerate_best`
+    on ``ml`` would pick — and honors the ``shards`` / ``refine`` /
+    ``processes`` / ``start_method`` scale-out knobs.
     """
-    if space.num_devices > 1:
-        res = enumerate_best_separable_ml(
-            space,
-            ml,
-            size_mb,
-            shards=shards,
-            refine=refine,
-            processes=processes,
-            start_method=start_method,
-        )
-    else:
-        res = enumerate_best(space, ml, size_mb, engine=engine)
+    res = enumerate_best_separable_ml(
+        space,
+        ml,
+        size_mb,
+        shards=shards,
+        refine=refine,
+        processes=processes,
+        start_method=start_method,
+    )
     measured = _measure_config(sim, res.best_config, size_mb)
     return MethodResult(
         method="EML",
@@ -260,9 +256,9 @@ def run_method(
 
     ``engine`` selects the evaluation backend for the search phase (see
     :mod:`repro.core.engine`); method results are engine-independent for
-    the deterministic evaluators used here.  ``shards`` / ``refine`` /
-    ``processes`` / ``start_method`` apply to the enumeration methods
-    on multi-device spaces (annealing searches ignore them).
+    the deterministic evaluators used here; EML never consults it.
+    ``shards`` / ``refine`` / ``processes`` / ``start_method`` apply to
+    the enumeration methods (annealing searches ignore them).
     """
     method = method.upper()
     if method == "EM":
@@ -284,7 +280,6 @@ def run_method(
             ml,
             sim,
             size_mb,
-            engine=engine,
             shards=shards,
             refine=refine,
             processes=processes,

@@ -7,10 +7,8 @@ Historically ``engine`` / ``batch_size`` / ``shards`` / ``refine`` /
 :func:`~repro.core.campaign.tune_campaign`,
 :func:`~repro.core.campaign.tune_matrix`, the CLI, and the service — six
 keyword lists that had to be kept in sync by hand.  :class:`TuningOptions`
-consolidates them: every entry point accepts ``options=`` (and the CLI
-builds one), while the old keywords remain as a thin compatibility layer
-— an explicitly passed legacy keyword overrides the corresponding
-``options`` field, so existing call sites keep working unchanged.
+consolidates them: every entry point takes ``options=`` (``None`` means
+the defaults), and the CLI and the service build one.
 
 The split of responsibilities is deliberate:
 
@@ -35,11 +33,6 @@ from .engine import EvaluationEngine
 if TYPE_CHECKING:  # import cycle: portfolio consumes TuningOptions-tuned cells
     from .portfolio import PortfolioSpec
 
-#: Sentinel distinguishing "keyword not passed" from "passed its default"
-#: in the compatibility layer of the ``tune_*`` entry points.
-UNSET = object()
-
-
 @dataclass(frozen=True)
 class TuningOptions:
     """Execution knobs shared by all tuning entry points.
@@ -56,12 +49,12 @@ class TuningOptions:
     batch_size:
         Configurations per batch when ``engine`` names a batched engine.
     shards:
-        Share-simplex shard count for multi-device enumeration
-        (bit-identical for any count, see
+        Share-grid shard count for enumeration (bit-identical for any
+        count, see
         :func:`~repro.core.enumeration.enumerate_best_separable`).
     refine:
-        Coarse-to-fine target share step [%] for multi-device
-        enumeration, or ``None`` for the coarse grid only.
+        Coarse-to-fine target share step [%] for enumeration, or
+        ``None`` for the space's own grid only.
     processes:
         Fan campaign/matrix cells (or enumeration shards) out over this
         many worker processes; ``None``/``1`` runs serially.
@@ -143,22 +136,3 @@ class TuningOptions:
         if self.engine is None or isinstance(self.engine, str):
             return self.engine
         return type(self.engine).__name__
-
-
-def resolve_options(
-    options: TuningOptions | None = None,
-    **overrides: object,
-) -> TuningOptions:
-    """Merge an options object with explicitly passed legacy keywords.
-
-    ``overrides`` values equal to :data:`UNSET` are dropped (the keyword
-    was not passed); everything else overrides the corresponding field
-    of ``options`` (or of a default :class:`TuningOptions`).  This is
-    the whole compatibility layer: entry points declare their legacy
-    keywords with ``UNSET`` defaults and forward them here.
-    """
-    base = options if options is not None else TuningOptions()
-    explicit = {k: v for k, v in overrides.items() if v is not UNSET}
-    if not explicit:
-        return base
-    return replace(base, **explicit)

@@ -625,7 +625,11 @@ class ParameterSpace:
                     "explicit share vectors require extra_device_grids; "
                     "single-device spaces use the fraction grid"
                 )
-            self.share_vectors: tuple[tuple[float, ...], ...] | None = None
+            # The fraction grid as two-part share vectors, so enumeration
+            # walks every device count the same way.
+            self.share_vectors: tuple[tuple[float, ...], ...] = tuple(
+                (f, 100.0 - f) for f in self.fractions
+            )
         else:
             if shares is None:
                 shares = share_simplex(self.num_devices + 1)

@@ -259,9 +259,9 @@ class WorkDistributionTuner:
         "cached", "batched", "cached+batched"); results are identical
         across backends, only throughput differs.  ``shards`` /
         ``refine`` / ``processes`` / ``start_method`` are the
-        multi-device enumeration scale-out knobs (see
+        enumeration scale-out knobs (see
         :func:`~repro.core.enumeration.enumerate_best_separable`);
-        annealing methods and single-device spaces ignore them.
+        annealing methods ignore them.
         """
         if size_mb <= 0:
             raise ValueError(f"size_mb must be positive, got {size_mb}")

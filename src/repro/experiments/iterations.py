@@ -172,7 +172,7 @@ def study_genome(
     )
 
     em = run_em(ctx.space, sim, size_mb, engine=engine)
-    eml = run_eml(ctx.space, ml, sim, size_mb, engine=engine)
+    eml = run_eml(ctx.space, ml, sim, size_mb)
 
     saml_times: dict[int, float] = {}
     sam_times: dict[int, float] = {}

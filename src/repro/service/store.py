@@ -79,7 +79,7 @@ from repro.reliability import (
 
 from ..core.campaign import ScenarioReport
 from ..core.methods import MethodResult
-from ..core.options import UNSET, TuningOptions, resolve_options
+from ..core.options import TuningOptions
 from ..dna.workloads import get_workload, is_derived_key
 from ..machines.registry import resolve_platform
 from .serde import (
@@ -98,7 +98,10 @@ from .serde import (
 #: relevant), scenario payloads may embed a portfolio ledger, and the
 #: ``training`` / ``models`` record kinds joined the file (transfer
 #: learning's durable tier, see :mod:`repro.ml.transfer`).
-STORE_SCHEMA_VERSION = 3
+#: v4: EM/EML walks break energy ties in Table I order for every device
+#: count, which changes multi-device ``em_config`` values (and refined
+#: single-device optima) in ``em`` and ``scenario`` records.
+STORE_SCHEMA_VERSION = 4
 
 KIND_EM = "em"
 KIND_SCENARIO = "scenario"
@@ -168,21 +171,18 @@ class CellKey:
         iterations: int = 1000,
         seed: int = 0,
         options: TuningOptions | None = None,
-        engine=UNSET,
-        batch_size=UNSET,
-        refine=UNSET,
     ) -> "CellKey":
         """Canonicalize a request into its dedup identity.
 
         Result-relevant execution knobs come from ``options`` (a
-        :class:`~repro.core.options.TuningOptions`) or the legacy
-        keywords, merged exactly like the ``tune_*`` entry points; the
+        :class:`~repro.core.options.TuningOptions`, ``None`` for the
+        defaults), exactly as the ``tune_*`` entry points read them; the
         execution-only fields (``shards`` / ``processes`` /
         ``start_method``) are ignored by construction.  Raises
         ``ValueError`` for unknown workload/platform names, so
         admission rejects bad requests before touching the store.
         """
-        opts = resolve_options(options, engine=engine, batch_size=batch_size, refine=refine)
+        opts = options if options is not None else TuningOptions()
         wspec = get_workload(workload)
         pspec = resolve_platform(platform)
         return cls(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import tune_matrix, tune_scenario
+from repro.core import TuningOptions, tune_matrix, tune_scenario
 from repro.core.campaign import MatrixResult
 from repro.dna.workloads import SHORT_READ, get_workload
 
@@ -92,7 +92,12 @@ class TestTuneMatrix:
 
     def test_process_fanout_matches_serial_results(self, sam_matrix):
         fanned = tune_matrix(
-            WORKLOADS, PLATFORMS, method="SAM", iterations=ITERS, seed=0, processes=2
+            WORKLOADS,
+            PLATFORMS,
+            method="SAM",
+            iterations=ITERS,
+            seed=0,
+            options=TuningOptions(processes=2),
         )
         assert [r.config for r in fanned] == [r.config for r in sam_matrix]
         assert [r.report.measured_time for r in fanned] == [

@@ -1,19 +1,19 @@
-"""The unified TuningOptions object and its compatibility layer."""
+"""The unified TuningOptions object every tuner entry point takes."""
 
 import dataclasses
 
 import pytest
 
 from repro.core import (
-    UNSET,
     CachedEngine,
     TuningOptions,
     make_engine,
-    resolve_options,
+    tune_campaign,
     tune_matrix,
     tune_platform,
     tune_scenario,
 )
+from repro.service.store import CellKey
 
 ITERS = 60
 
@@ -47,25 +47,6 @@ class TestDefaultsAndValidation:
             TuningOptions(**kwargs)
 
 
-class TestResolveOptions:
-    def test_no_options_no_keywords_is_the_default(self):
-        assert resolve_options(None) == TuningOptions()
-
-    def test_unset_keywords_are_dropped(self):
-        base = TuningOptions(engine="serial", shards=4)
-        assert resolve_options(base, engine=UNSET, shards=UNSET) is base
-
-    def test_explicit_keyword_overrides_the_options_field(self):
-        base = TuningOptions(engine="serial", batch_size=32)
-        merged = resolve_options(base, engine="cached", batch_size=UNSET)
-        assert merged.engine == "cached"
-        assert merged.batch_size == 32  # untouched field survives
-
-    def test_explicit_none_is_an_override_not_a_drop(self):
-        merged = resolve_options(TuningOptions(refine=5.0), refine=None)
-        assert merged.refine is None
-
-
 class TestViews:
     def test_for_cell_strips_fanout_knobs_only(self):
         opts = TuningOptions(engine="cached", processes=4, start_method="spawn")
@@ -92,32 +73,30 @@ class TestViews:
         assert TuningOptions(engine=instance).engine_name == "BatchedEngine"
 
 
-class TestEntryPointEquivalence:
-    """options= and the legacy keywords must produce identical results."""
+class TestEntryPoints:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda **kw: tune_platform("emil", iterations=ITERS, **kw),
+            lambda **kw: tune_scenario("short-read", "emil", iterations=ITERS, **kw),
+            lambda **kw: tune_campaign(("emil",), iterations=ITERS, **kw),
+            lambda **kw: tune_matrix(("short-read",), ("emil",), iterations=ITERS, **kw),
+            lambda **kw: CellKey.for_request("short-read", "emil", **kw),
+        ],
+        ids=["tune_platform", "tune_scenario", "tune_campaign", "tune_matrix",
+             "CellKey.for_request"],
+    )
+    def test_execution_knobs_are_only_accepted_through_options(self, call):
+        """The per-knob keywords are gone; ``options=`` is the one way in."""
+        with pytest.raises(TypeError):
+            call(engine="serial")
 
-    def test_tune_platform_options_equals_legacy(self):
-        legacy = tune_platform(
-            "emil", iterations=ITERS, seed=0, engine="cached", batch_size=16
+    def test_no_options_is_the_default_options(self):
+        default = tune_platform("emil", iterations=ITERS, seed=0)
+        explicit = tune_platform(
+            "emil", iterations=ITERS, seed=0, options=TuningOptions()
         )
-        unified = tune_platform(
-            "emil",
-            iterations=ITERS,
-            seed=0,
-            options=TuningOptions(engine="cached", batch_size=16),
-        )
-        assert unified == legacy
-
-    def test_tune_scenario_keyword_overrides_options(self):
-        base = TuningOptions(engine="serial")
-        overridden = tune_scenario(
-            "short-read", "emil", iterations=ITERS, seed=0,
-            options=base, engine="cached+batched",
-        )
-        direct = tune_scenario(
-            "short-read", "emil", iterations=ITERS, seed=0,
-            engine="cached+batched",
-        )
-        assert overridden == direct
+        assert default == explicit
 
     def test_tune_matrix_accepts_engine_instances(self):
         """Regression: the matrix path accepts EvaluationEngine instances.
@@ -135,7 +114,7 @@ class TestEntryPointEquivalence:
         )
         named = tune_matrix(
             ("short-read",), ("emil", "slowlink"),
-            iterations=ITERS, seed=0, engine="cached+batched",
+            iterations=ITERS, seed=0, options=TuningOptions(engine="cached+batched"),
         )
         assert [c.report.config for c in res.reports] == [
             c.report.config for c in named.reports

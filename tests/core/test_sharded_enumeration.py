@@ -1,4 +1,4 @@
-"""Sharded + coarse-to-fine multi-device enumeration (core/enumeration.py)."""
+"""Sharded + coarse-to-fine enumeration (core/enumeration.py)."""
 
 import multiprocessing
 
@@ -7,13 +7,20 @@ import pytest
 
 from repro.core import (
     REFINE_RADIUS,
+    enumerate_best,
     enumerate_best_separable,
     enumerate_best_separable_ml,
     neighborhood_share_vectors,
     plan_share_shards,
     refine_share_steps,
 )
-from repro.core.params import ParameterSpace, platform_space, share_simplex
+from repro.core.params import (
+    ParameterSpace,
+    platform_space,
+    share_simplex,
+    workload_space,
+)
+from repro.core.training import generate_training_data, train_models
 from repro.machines import PlatformSimulator, get_platform
 
 SIZE_MB = 600.0
@@ -236,6 +243,32 @@ class TestShardedMeasuredEnumeration:
         )
         assert knobbed == plain
 
+    def test_deviceless_space_never_refines(self):
+        # A deviceless space pins one (100, 0) split: refining it would
+        # time a device the platform does not have.
+        spec = get_platform("manycore")
+        space = platform_space(spec)
+        plain = enumerate_best_separable(space, PlatformSimulator(spec, seed=0), SIZE_MB)
+        refined = enumerate_best_separable(
+            space, PlatformSimulator(spec, seed=0), SIZE_MB, refine=2.5
+        )
+        assert refined == plain
+
+    def test_single_device_refinement_walks_the_finer_grid(self):
+        # short-read@emil enumerates a 5 % fraction grid; refine=2.5
+        # walks the incumbent's 2.5 % neighborhood like any share grid.
+        spec = get_platform("emil")
+        space = workload_space("short-read", spec)
+        plain = enumerate_best_separable(
+            space, PlatformSimulator(spec, "short-read", seed=0), 300.0
+        )
+        refined = enumerate_best_separable(
+            space, PlatformSimulator(spec, "short-read", seed=0), 300.0, refine=2.5
+        )
+        assert refined.configurations > plain.configurations
+        assert refined.best_energy.value < plain.best_energy.value
+        assert refined.best_config.host_fraction % 5.0 == 2.5
+
 
 class _LinearPredictor:
     """Picklable deterministic stand-in for the trained ensemble."""
@@ -281,9 +314,23 @@ class TestShardedMLEnumeration:
         )
         assert refined.best_energy.value <= baseline.best_energy.value
 
-    def test_single_device_space_rejected(self):
-        spec = get_platform("emil")
-        with pytest.raises(ValueError, match="single-device"):
-            enumerate_best_separable_ml(
-                platform_space(spec), _LinearPredictor(), SIZE_MB
-            )
+    def test_single_device_walk_equals_faithful_walk(self):
+        # N=1 spaces take the same separable ML walk as multi-device ones
+        # and pick what the per-configuration walk on the trained
+        # evaluator picks.
+        sim = PlatformSimulator(seed=0)
+        data = generate_training_data(
+            sim,
+            sizes_mb=(1000.0, 3170.0),
+            fractions=tuple(np.arange(10.0, 101.0, 10.0)),
+        )
+        ml = train_models(data).evaluator()
+        space = ParameterSpace(
+            host_threads=(12, 48),
+            device_threads=(60, 240),
+            fractions=tuple(float(f) for f in range(0, 101, 10)),
+        )
+        faithful = enumerate_best(space, ml, 3170.0)
+        for shards in (1, 3):
+            separable = enumerate_best_separable_ml(space, ml, 3170.0, shards=shards)
+            assert separable == faithful

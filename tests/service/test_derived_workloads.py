@@ -83,17 +83,15 @@ class TestCellKeyDigest:
         assert first != second
         assert first.workload_digest != second.workload_digest
 
-    def test_options_and_legacy_keywords_build_the_same_key(self):
-        legacy = CellKey.for_request(
-            "short-read", "emil", size_mb=600.0, engine="cached", batch_size=16
-        )
-        unified = CellKey.for_request(
+    def test_options_knobs_enter_the_key(self):
+        key = CellKey.for_request(
             "short-read",
             "emil",
             size_mb=600.0,
             options=TuningOptions(engine="cached", batch_size=16),
         )
-        assert unified == legacy
+        assert (key.engine, key.batch_size) == ("cached", 16)
+        assert key != CellKey.for_request("short-read", "emil", size_mb=600.0)
 
     def test_engine_instances_key_by_name(self):
         from repro.core import make_engine

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import TuningOptions
 from repro.core.campaign import _em_cache_key, tune_scenario
 from repro.core.methods import run_method
 from repro.core.params import workload_space
@@ -57,7 +58,9 @@ class TestCellKey:
         for other in (
             CellKey.for_request("short-read", "emil", size_mb=SIZE_MB, seed=1),
             CellKey.for_request("short-read", "emil", size_mb=SIZE_MB, method="EM"),
-            CellKey.for_request("short-read", "emil", size_mb=SIZE_MB, refine=2.5),
+            CellKey.for_request(
+                "short-read", "emil", size_mb=SIZE_MB, options=TuningOptions(refine=2.5)
+            ),
             CellKey.for_request("short-read", "fathost", size_mb=SIZE_MB),
         ):
             assert other.digest() != base.digest()
